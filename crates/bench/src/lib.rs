@@ -54,9 +54,10 @@ pub const EXPERIMENTS: [&str; 22] = [
 /// shape exercises its contended and wait-heavy interleavings.
 pub const DEFAULT_LITMUS_SEEDS: u64 = 64;
 
-/// The experiments that support `--checkpoint` (cell-level crash-safe
-/// progress): everything driven by the pairing grid.
-pub const CHECKPOINTABLE: [&str; 5] = [
+/// The experiments driven by the pairing grid: the ones that consult
+/// the persistent result cache and accept `--supervised` and
+/// `--workers`.
+pub const GRID_EXPERIMENTS: [&str; 5] = [
     "fig8",
     "fig9",
     "pairing-analysis",
@@ -168,14 +169,6 @@ pub struct Cli {
     /// Worker count from `--jobs N` (`None` = resolve from `JSMT_JOBS`
     /// or the host core count at run time).
     pub jobs: Option<usize>,
-    /// Checkpoint file from `--checkpoint PATH` / `--resume PATH`
-    /// (resumed if it exists, created otherwise).
-    pub checkpoint: Option<String>,
-    /// `--resume` was used: the checkpoint file must already exist.
-    pub resume: bool,
-    /// Flush the checkpoint every N finished grid cells
-    /// (`--checkpoint-every N`, default 8).
-    pub checkpoint_every: usize,
     /// `bisect-divergence` parameters.
     pub bisect: BisectOpts,
     /// Supervised-execution options.
@@ -222,9 +215,6 @@ pub fn parse_args(args: &[String]) -> Result<Cli, JsmtError> {
     let mut experiment: Option<String> = None;
     let mut csv = false;
     let mut jobs = None;
-    let mut checkpoint: Option<String> = None;
-    let mut resume = false;
-    let mut checkpoint_every = 8usize;
     let mut bisect = BisectOpts::default();
     let mut supervise = SuperOpts::default();
     let mut bundle: Option<String> = None;
@@ -279,30 +269,6 @@ pub fn parse_args(args: &[String]) -> Result<Cli, JsmtError> {
                     v.parse::<usize>()
                         .map_err(|e| cli_err(format!("bad --jobs: {e}")))?,
                 );
-            }
-            "--checkpoint" => {
-                checkpoint = Some(
-                    it.next()
-                        .ok_or_else(|| cli_err("--checkpoint needs a path"))?
-                        .clone(),
-                );
-            }
-            "--resume" => {
-                checkpoint = Some(
-                    it.next()
-                        .ok_or_else(|| cli_err("--resume needs a path"))?
-                        .clone(),
-                );
-                resume = true;
-            }
-            "--checkpoint-every" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| cli_err("--checkpoint-every needs a value"))?;
-                checkpoint_every = v
-                    .parse::<usize>()
-                    .map_err(|e| cli_err(format!("bad --checkpoint-every: {e}")))?
-                    .max(1);
             }
             "--retries" => {
                 let v = it
@@ -450,9 +416,6 @@ pub fn parse_args(args: &[String]) -> Result<Cli, JsmtError> {
             ctx,
             csv,
             jobs,
-            checkpoint: None,
-            resume: false,
-            checkpoint_every,
             bisect,
             supervise,
             bundle: None,
@@ -473,34 +436,25 @@ pub fn parse_args(args: &[String]) -> Result<Cli, JsmtError> {
             usage()
         )));
     }
-    if checkpoint.is_some() && !CHECKPOINTABLE.contains(&experiment.as_str()) {
-        return Err(cli_err(format!(
-            "--checkpoint/--resume only applies to the pairing-grid experiments ({})",
-            CHECKPOINTABLE.join(" ")
-        )));
-    }
-    if supervise.enabled && experiment != "litmus" && !CHECKPOINTABLE.contains(&experiment.as_str())
+    if supervise.enabled
+        && experiment != "litmus"
+        && !GRID_EXPERIMENTS.contains(&experiment.as_str())
     {
         return Err(cli_err(format!(
             "--supervised only applies to the pairing-grid experiments ({}) and litmus",
-            CHECKPOINTABLE.join(" ")
+            GRID_EXPERIMENTS.join(" ")
         )));
     }
-    if supervise.enabled && checkpoint.is_some() {
-        return Err(cli_err(
-            "--supervised and --checkpoint/--resume are mutually exclusive",
-        ));
-    }
     if workers.is_some() {
-        if !CHECKPOINTABLE.contains(&experiment.as_str()) {
+        if !GRID_EXPERIMENTS.contains(&experiment.as_str()) {
             return Err(cli_err(format!(
                 "--workers only applies to the pairing-grid experiments ({})",
-                CHECKPOINTABLE.join(" ")
+                GRID_EXPERIMENTS.join(" ")
             )));
         }
-        if supervise.enabled || checkpoint.is_some() {
+        if supervise.enabled {
             return Err(cli_err(
-                "--workers is its own execution mode; drop --supervised/--checkpoint/--resume",
+                "--workers is its own execution mode; drop --supervised",
             ));
         }
     }
@@ -524,9 +478,6 @@ pub fn parse_args(args: &[String]) -> Result<Cli, JsmtError> {
         ctx,
         csv,
         jobs,
-        checkpoint,
-        resume,
-        checkpoint_every,
         bisect,
         supervise,
         bundle,
@@ -541,7 +492,6 @@ pub fn parse_args(args: &[String]) -> Result<Cli, JsmtError> {
 pub fn usage() -> String {
     format!(
         "usage: repro [--quick|--full] [--csv] [--scale X] [--repeats N] [--seed S] [--jobs N]\n\
-         \x20            [--checkpoint PATH | --resume PATH] [--checkpoint-every N]\n\
          \x20            [--supervised [--retries N] [--deadline-secs N] [--livelock-cycles N]\n\
          \x20             [--cell-checkpoint-every N] [--bundle-dir DIR] [--manifest PATH]\n\
          \x20             [--faults SPEC]] [--backoff-ms N] [--backoff-cap-ms N]\n\
@@ -550,10 +500,6 @@ pub fn usage() -> String {
          experiments: {} all\n\
          --jobs N fans independent simulations over N worker threads (0/1 = serial;\n\
          default: JSMT_JOBS or all cores). Results are bit-identical at any job count.\n\
-         --checkpoint PATH makes the pairing-grid experiments crash-safe: finished cells\n\
-         are flushed to PATH every --checkpoint-every N cells (default 8) and a rerun\n\
-         resumes from them, emitting bit-identical output. --resume PATH additionally\n\
-         requires the file to exist already.\n\
          --supervised runs the pairing-grid experiments under the hardened supervisor:\n\
          a panicking, livelocked or over-deadline cell is isolated, retried --retries\n\
          times (default 1), and on final failure recorded in the --manifest CSV with a\n\
@@ -567,9 +513,11 @@ pub fn usage() -> String {
          plus the --manifest CSV and exit 3. Output is bit-identical to a serial run\n\
          at any worker count.\n\
          --cache-dir DIR (or JSMT_CACHE) attaches the persistent result cache to the\n\
-         pairing-grid experiments: finished cells are stored content-addressed and\n\
-         sealed; a rerun verifies every entry, quarantines corrupt ones (healing by\n\
-         recompute), and simulates only what is missing.\n\
+         pairing-grid experiments: each cell is stored content-addressed and sealed\n\
+         as soon as it finishes; a rerun verifies every entry, quarantines corrupt ones\n\
+         (healing by recompute), and simulates only what is missing. Rerunning with the\n\
+         same DIR is how an interrupted grid resumes, in every execution mode, with\n\
+         bit-identical output.\n\
          replay-crash <bundle.crash> re-executes a recorded failure deterministically\n\
          and exits 0 when it reproduces.\n\
          litmus [--seeds N] sweeps the sync-bound litmus shapes (message passing,\n\
@@ -752,35 +700,6 @@ pub fn render_grid_experiment(
     }
 }
 
-/// Run a pairing-grid experiment with crash-safe progress: finished
-/// cells and the solo-baseline cache are flushed to `path` every
-/// `every` cells, and an existing file is resumed. The output is
-/// bit-identical to an uninterrupted [`run_experiment_on`].
-///
-/// # Errors
-///
-/// Returns a typed [`JsmtError`] when the checkpoint file is corrupt,
-/// was taken with different experiment parameters, or cannot be
-/// written.
-pub fn run_experiment_ckpt(
-    engine: &Engine,
-    name: &str,
-    ctx: &ExperimentCtx,
-    csv: bool,
-    path: &Path,
-    every: usize,
-) -> Result<String, JsmtError> {
-    let grid = exp::pair_matrix_ckpt(engine, ctx, path, every, None)
-        .map_err(|e| JsmtError::from(e).context(format!("checkpoint '{}'", path.display())))?
-        .ok_or_else(|| {
-            JsmtError::new(
-                ErrorKind::Experiment,
-                "checkpointed run stopped with grid cells still pending",
-            )
-        })?;
-    Ok(render_grid_experiment(name, &grid, ctx, csv))
-}
-
 /// Outcome of a supervised pairing-grid run.
 #[derive(Debug, Clone)]
 pub struct SupervisedOutcome {
@@ -806,18 +725,32 @@ pub fn run_experiment_supervised(
     csv: bool,
     cfg: &exp::SupervisorCfg,
 ) -> SupervisedOutcome {
-    let sg = exp::pair_matrix_supervised(engine, ctx, cfg);
+    grid_outcome(
+        name,
+        ctx,
+        csv,
+        exp::pair_matrix_supervised(engine, ctx, cfg),
+    )
+}
+
+/// Render a supervised or sharded grid: the normal rendering when every
+/// cell survived, otherwise the partial-results CSV (the paper-style
+/// renderings need every cell, so degrade to the machine-readable form
+/// and keep the surviving work).
+fn grid_outcome(
+    name: &str,
+    ctx: &ExperimentCtx,
+    csv: bool,
+    sg: exp::SupervisedGrid,
+) -> SupervisedOutcome {
     let manifest = sg.manifest_csv();
     if sg.is_complete() {
-        let grid = sg.into_grid();
         SupervisedOutcome {
-            output: render_grid_experiment(name, &grid, ctx, csv),
+            output: render_grid_experiment(name, &sg.into_grid(), ctx, csv),
             manifest,
             failures: Vec::new(),
         }
     } else {
-        // The paper-style renderings need every cell; degrade to the
-        // machine-readable partial CSV so surviving work is not lost.
         SupervisedOutcome {
             output: sg.csv(),
             manifest,
@@ -922,22 +855,12 @@ pub fn run_experiment_sharded(
     csv: bool,
     cfg: &exp::ShardCfg,
 ) -> Result<SupervisedOutcome, JsmtError> {
-    let sg = exp::pair_matrix_sharded(ctx, cfg)?;
-    let manifest = sg.manifest_csv();
-    if sg.is_complete() {
-        let grid = sg.into_grid();
-        Ok(SupervisedOutcome {
-            output: render_grid_experiment(name, &grid, ctx, csv),
-            manifest,
-            failures: Vec::new(),
-        })
-    } else {
-        Ok(SupervisedOutcome {
-            output: sg.csv(),
-            manifest,
-            failures: sg.failures,
-        })
-    }
+    Ok(grid_outcome(
+        name,
+        ctx,
+        csv,
+        exp::pair_matrix_sharded(ctx, cfg)?,
+    ))
 }
 
 /// Replay a crash-repro bundle and render a human-readable report.
@@ -1064,6 +987,11 @@ mod tests {
         assert!(parse_args(&s(&[])).is_err());
         assert!(parse_args(&s(&["--bogus", "fig1"])).is_err());
         assert!(parse_args(&s(&["fig1", "fig2"])).is_err());
+        // A grid resumes through --cache-dir; there are no checkpoint flags.
+        for flag in ["--checkpoint", "--resume", "--checkpoint-every"] {
+            let err = parse_args(&s(&[flag, "x.ck", "fig8"])).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::Cli, "{flag}");
+        }
     }
 
     #[test]
@@ -1084,30 +1012,6 @@ mod tests {
     fn all_is_accepted() {
         let cli = parse_args(&s(&["all"])).unwrap();
         assert_eq!(cli.experiment, "all");
-    }
-
-    #[test]
-    fn checkpoint_flags_parse() {
-        let cli = parse_args(&s(&["--checkpoint", "grid.ck", "fig8"])).unwrap();
-        assert_eq!(cli.checkpoint.as_deref(), Some("grid.ck"));
-        assert!(!cli.resume);
-        assert_eq!(cli.checkpoint_every, 8);
-
-        let cli = parse_args(&s(&[
-            "--resume",
-            "grid.ck",
-            "--checkpoint-every",
-            "3",
-            "fig9",
-        ]))
-        .unwrap();
-        assert_eq!(cli.checkpoint.as_deref(), Some("grid.ck"));
-        assert!(cli.resume);
-        assert_eq!(cli.checkpoint_every, 3);
-
-        // Checkpointing is grid-only.
-        assert!(parse_args(&s(&["--checkpoint", "x.ck", "fig1"])).is_err());
-        assert!(parse_args(&s(&["--checkpoint"])).is_err());
     }
 
     #[test]
@@ -1182,9 +1086,8 @@ mod tests {
         assert_eq!(cfg.retries, 2);
         assert_eq!(cfg.deadline, Some(std::time::Duration::from_secs(30)));
 
-        // Supervision is grid-only and incompatible with --checkpoint.
+        // Supervision is grid-only.
         assert!(parse_args(&s(&["--supervised", "fig1"])).is_err());
-        assert!(parse_args(&s(&["--supervised", "--checkpoint", "x.ck", "fig8"])).is_err());
     }
 
     #[test]
@@ -1224,7 +1127,6 @@ mod tests {
         // Shard dispatch is grid-only and its own execution mode.
         assert!(parse_args(&s(&["--workers", "2", "fig1"])).is_err());
         assert!(parse_args(&s(&["--workers", "2", "--supervised", "fig8"])).is_err());
-        assert!(parse_args(&s(&["--workers", "2", "--checkpoint", "x.ck", "fig8"])).is_err());
 
         // The supervisor picks up the backoff knobs too.
         let cfg = cli.supervise.cfg();
@@ -1271,9 +1173,8 @@ mod tests {
         assert!(parse_args(&s(&["--seeds", "x", "litmus"])).is_err());
         assert!(parse_args(&s(&["--seeds"])).is_err());
 
-        // Supervision extends to litmus; cell checkpointing does not.
+        // Supervision extends to litmus.
         assert!(parse_args(&s(&["--supervised", "litmus"])).is_ok());
-        assert!(parse_args(&s(&["--checkpoint", "x.ck", "litmus"])).is_err());
     }
 
     #[test]

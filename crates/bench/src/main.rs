@@ -5,9 +5,9 @@
 //! completed with failed cells (partial results were emitted).
 
 use jsmt_bench::{
-    parse_args, resolve_cache, run_all_on, run_bisect, run_experiment_ckpt, run_experiment_on,
-    run_experiment_sharded, run_experiment_supervised, run_litmus, run_litmus_supervised,
-    run_replay_crash, shard_cfg, usage, Cli, CHECKPOINTABLE,
+    parse_args, resolve_cache, run_all_on, run_bisect, run_experiment_on, run_experiment_sharded,
+    run_experiment_supervised, run_litmus, run_litmus_supervised, run_replay_crash, shard_cfg,
+    usage, Cli, SupervisedOutcome, GRID_EXPERIMENTS,
 };
 use jsmt_core::experiments::Engine;
 use jsmt_core::JsmtError;
@@ -54,6 +54,28 @@ fn arm_faults(cli: &Cli) -> Result<bool, JsmtError> {
     }
 }
 
+/// Write the failure manifest (when `--manifest` asked for one) and
+/// report each failed cell. Returns the exit code: 3 when any cell
+/// failed and the output is partial, 0 otherwise.
+fn report_failures(cli: &Cli, outcome: &SupervisedOutcome) -> Result<i32, JsmtError> {
+    if let Some(path) = &cli.supervise.manifest {
+        std::fs::write(path, &outcome.manifest).map_err(|e| {
+            JsmtError::from(e).context(format!("writing failure manifest '{path}'"))
+        })?;
+    }
+    for f in &outcome.failures {
+        eprintln!("# cell failed: {f}");
+    }
+    if outcome.failures.is_empty() {
+        return Ok(0);
+    }
+    eprintln!(
+        "# jsmt repro: {} cell(s) failed; emitting partial results",
+        outcome.failures.len()
+    );
+    Ok(3)
+}
+
 fn run(cli: &Cli) -> Result<i32, JsmtError> {
     if cli.experiment == "replay-crash" {
         let path = cli.bundle.as_deref().expect("validated at parse time");
@@ -75,7 +97,7 @@ fn run(cli: &Cli) -> Result<i32, JsmtError> {
     let mut engine = Engine::new(cli.parallelism());
     // The persistent result cache serves every pairing-grid execution
     // mode; other experiments have no cacheable cells yet.
-    let cache = if CHECKPOINTABLE.contains(&cli.experiment.as_str()) {
+    let cache = if GRID_EXPERIMENTS.contains(&cli.experiment.as_str()) {
         resolve_cache(cli.cache_dir.as_deref())?
     } else {
         None
@@ -109,21 +131,7 @@ fn run(cli: &Cli) -> Result<i32, JsmtError> {
                 &cli.supervise.cfg(),
             )
         };
-        if let Some(path) = &cli.supervise.manifest {
-            std::fs::write(path, &outcome.manifest).map_err(|e| {
-                JsmtError::from(e).context(format!("writing failure manifest '{path}'"))
-            })?;
-        }
-        for f in &outcome.failures {
-            eprintln!("# cell failed: {f}");
-        }
-        if !outcome.failures.is_empty() {
-            eprintln!(
-                "# jsmt repro: {} cell(s) failed; emitting partial results",
-                outcome.failures.len()
-            );
-            exit = 3;
-        }
+        exit = report_failures(cli, &outcome)?;
         outcome.output
     } else if cli.workers.is_some() {
         let scfg = shard_cfg(cli, cache.clone())?;
@@ -132,36 +140,8 @@ fn run(cli: &Cli) -> Result<i32, JsmtError> {
             scfg.workers
         );
         let outcome = run_experiment_sharded(&cli.experiment, &cli.ctx, cli.csv, &scfg)?;
-        if let Some(path) = &cli.supervise.manifest {
-            std::fs::write(path, &outcome.manifest).map_err(|e| {
-                JsmtError::from(e).context(format!("writing failure manifest '{path}'"))
-            })?;
-        }
-        for f in &outcome.failures {
-            eprintln!("# cell failed: {f}");
-        }
-        if !outcome.failures.is_empty() {
-            eprintln!(
-                "# jsmt repro: {} cell(s) failed; emitting partial results",
-                outcome.failures.len()
-            );
-            exit = 3;
-        }
+        exit = report_failures(cli, &outcome)?;
         outcome.output
-    } else if let Some(path) = &cli.checkpoint {
-        let path = std::path::Path::new(path);
-        if cli.resume && !path.exists() {
-            eprintln!("--resume: no such checkpoint: {}", path.display());
-            std::process::exit(2);
-        }
-        run_experiment_ckpt(
-            &engine,
-            &cli.experiment,
-            &cli.ctx,
-            cli.csv,
-            path,
-            cli.checkpoint_every,
-        )?
     } else if cli.experiment == "litmus" {
         run_litmus(&engine, &cli.ctx, cli.seeds, cli.csv)
     } else {

@@ -42,8 +42,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use jsmt_snapshot::{fnv64, open, seal, Reader, SnapshotError, Writer};
 
-/// Snapshot kind tag of a cache entry (1 = system, 2 = grid checkpoint,
-/// 3 = crash bundle, 4 = cache entry).
+/// Snapshot kind tag of a cache entry (1 = system, 3 = crash bundle,
+/// 4 = cache entry; 2 is retired and not reused).
 pub const KIND_CACHE_ENTRY: u32 = 4;
 
 /// Name of the append-only quarantine manifest kept in the cache

@@ -1,12 +1,12 @@
 //! The structured error taxonomy of the harness.
 //!
 //! Everything that can fail on a *user-facing* path — CLI parsing,
-//! experiment configuration, checkpoint and bundle I/O, snapshot
+//! experiment configuration, crash-bundle and manifest I/O, snapshot
 //! decoding — returns a [`JsmtError`] instead of panicking. Errors are
 //! hand-rolled (no external error crates): a classified kind, a message,
 //! and an optional boxed cause, so `Display` renders the full context
-//! chain (`loading crash bundle 'x.crash': checkpoint data: snapshot
-//! checksum mismatch: …`) and callers can still branch on [`ErrorKind`].
+//! chain (`loading crash bundle 'x.crash': snapshot checksum
+//! mismatch: …`) and callers can still branch on [`ErrorKind`].
 //!
 //! Panics remain reserved for violated internal invariants; the
 //! supervised engine (`experiments::supervise`) additionally converts
@@ -115,15 +115,6 @@ impl From<jsmt_snapshot::SnapshotError> for JsmtError {
     }
 }
 
-impl From<crate::experiments::CkptError> for JsmtError {
-    fn from(e: crate::experiments::CkptError) -> Self {
-        match e {
-            crate::experiments::CkptError::Io(io) => io.into(),
-            crate::experiments::CkptError::Snapshot(s) => s.into(),
-        }
-    }
-}
-
 /// Extension adding `.context(..)` to `Result`s whose error converts
 /// into [`JsmtError`].
 pub trait Context<T> {
@@ -144,11 +135,11 @@ mod tests {
     #[test]
     fn display_renders_the_context_chain() {
         let e = JsmtError::new(ErrorKind::Snapshot, "checksum mismatch")
-            .context("checkpoint data")
-            .context("loading 'grid.ck'");
+            .context("bundle data")
+            .context("loading 'x.crash'");
         assert_eq!(
             e.to_string(),
-            "loading 'grid.ck': checkpoint data: checksum mismatch"
+            "loading 'x.crash': bundle data: checksum mismatch"
         );
         assert_eq!(e.kind(), ErrorKind::Snapshot);
         assert_eq!(e.root_cause(), "checksum mismatch");

@@ -114,12 +114,14 @@ impl StageTiming {
 pub struct BaselineCacheStats {
     /// Total baseline requests.
     pub lookups: u64,
-    /// Requests that simulated the baseline (first request per key).
+    /// First in-memory request per key. Each was resolved by the
+    /// persistent result cache when one is attached and only simulated
+    /// on a miss there; that cache's own stats count the simulations.
     pub misses: u64,
 }
 
 impl BaselineCacheStats {
-    /// Requests answered from the cache.
+    /// Requests answered from memory.
     pub fn hits(&self) -> u64 {
         self.lookups - self.misses
     }
@@ -127,10 +129,10 @@ impl BaselineCacheStats {
 
 /// Cache key: everything [`solo_baseline_cycles`] depends on. `scale` is
 /// stored by bit pattern so the key is `Eq`/`Hash`.
-type BaselineKey = (BenchmarkId, u64, u64, u64, bool);
+type BaselineKey = (BenchmarkId, u64, u64, u64);
 
-fn baseline_key(id: BenchmarkId, ctx: &ExperimentCtx, ht: bool) -> BaselineKey {
-    (id, ctx.scale.to_bits(), ctx.seed, ctx.repeats, ht)
+fn baseline_key(id: BenchmarkId, ctx: &ExperimentCtx) -> BaselineKey {
+    (id, ctx.scale.to_bits(), ctx.seed, ctx.repeats)
 }
 
 /// Memoized solo baselines. Concurrent first requests for the same key
@@ -161,56 +163,6 @@ impl BaselineCache {
             lookups: self.lookups.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
         }
-    }
-
-    /// Serialize every *filled* slot, sorted by key for canonical bytes.
-    fn export(&self, w: &mut jsmt_snapshot::Writer) {
-        let mut entries: Vec<(BaselineKey, u64)> = {
-            let slots = self.slots.lock().expect("baseline cache poisoned");
-            slots
-                .iter()
-                .filter_map(|(&key, slot)| slot.get().map(|&v| (key, v)))
-                .collect()
-        };
-        entries.sort_by_key(|&((id, scale, seed, repeats, ht), _)| {
-            (id.tag(), scale, seed, repeats, ht)
-        });
-        w.put_usize(entries.len());
-        for ((id, scale_bits, seed, repeats, ht), value) in entries {
-            w.put_u8(id.tag());
-            w.put_u64(scale_bits);
-            w.put_u64(seed);
-            w.put_u64(repeats);
-            w.put_bool(ht);
-            w.put_u64(value);
-        }
-    }
-
-    /// Pre-fill slots from [`Self::export`] bytes. Imported entries are
-    /// warm-start data, not requests: the hit/miss statistics are left
-    /// untouched. A conflicting already-filled slot is an error (the
-    /// snapshot disagrees with a baseline this process simulated).
-    fn import(
-        &self,
-        r: &mut jsmt_snapshot::Reader<'_>,
-    ) -> Result<(), jsmt_snapshot::SnapshotError> {
-        use jsmt_snapshot::SnapshotError;
-        let n = r.get_len(34)?;
-        let mut slots = self.slots.lock().expect("baseline cache poisoned");
-        for _ in 0..n {
-            let id = BenchmarkId::from_tag(r.get_u8()?).ok_or(SnapshotError::Corrupt(
-                "unknown benchmark tag in baseline cache",
-            ))?;
-            let key: BaselineKey = (id, r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_bool()?);
-            let value = r.get_u64()?;
-            let slot = Arc::clone(slots.entry(key).or_default());
-            if slot.set(value).is_err() && *slot.get().expect("slot filled") != value {
-                return Err(SnapshotError::Corrupt(
-                    "imported baseline contradicts a computed one",
-                ));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -352,7 +304,7 @@ impl Engine {
     /// every later request (any worker) is an in-memory hit.
     pub fn solo_baseline(&self, id: BenchmarkId, ctx: &ExperimentCtx) -> u64 {
         self.baselines
-            .get_or_compute(baseline_key(id, ctx, false), || match &self.result_cache {
+            .get_or_compute(baseline_key(id, ctx), || match &self.result_cache {
                 Some(cache) => super::rescache::cached_solo_baseline(cache, id, ctx),
                 None => solo_baseline_cycles(id, ctx),
             })
@@ -388,21 +340,6 @@ impl Engine {
         self.baselines.stats()
     }
 
-    /// Serialize the filled baseline-cache entries (sorted, canonical)
-    /// so a later process can warm-start via [`Self::import_baselines`].
-    pub fn export_baselines(&self, w: &mut jsmt_snapshot::Writer) {
-        self.baselines.export(w);
-    }
-
-    /// Pre-fill the baseline cache from [`Self::export_baselines`]
-    /// bytes. Imported entries do not count as lookups or misses.
-    pub fn import_baselines(
-        &self,
-        r: &mut jsmt_snapshot::Reader<'_>,
-    ) -> Result<(), jsmt_snapshot::SnapshotError> {
-        self.baselines.import(r)
-    }
-
     /// Per-job timings accumulated so far (submission order per stage).
     pub fn job_timings(&self) -> Vec<JobTiming> {
         self.job_timings.lock().expect("timings poisoned").clone()
@@ -433,7 +370,7 @@ impl Engine {
         let b = self.baseline_stats();
         if b.lookups > 0 {
             out.push_str(&format!(
-                "#   baseline cache: {} lookups, {} simulated, {} hits\n",
+                "#   baseline memo: {} lookups, {} first requests (simulated or read from the result cache), {} in-memory hits\n",
                 b.lookups,
                 b.misses,
                 b.hits()
@@ -559,53 +496,6 @@ mod tests {
         let s = engine.baseline_stats();
         assert_eq!(s.lookups, 32);
         assert_eq!(s.misses, 2, "each distinct key simulated exactly once");
-    }
-
-    #[test]
-    fn baseline_export_import_round_trips() {
-        let ctx = ExperimentCtx {
-            scale: 0.01,
-            repeats: 2,
-            seed: 7,
-        };
-        let donor = Engine::serial();
-        let a = donor.solo_baseline(BenchmarkId::Compress, &ctx);
-        let b = donor.solo_baseline(BenchmarkId::Db, &ctx);
-        let mut w = jsmt_snapshot::Writer::new();
-        donor.export_baselines(&mut w);
-        let bytes = w.into_bytes();
-
-        // A fresh engine warm-started from the bytes answers both keys
-        // without simulating (misses stay zero).
-        let heir = Engine::serial();
-        let mut r = jsmt_snapshot::Reader::new(&bytes);
-        heir.import_baselines(&mut r).expect("import");
-        r.expect_end().expect("no trailing bytes");
-        assert_eq!(heir.solo_baseline(BenchmarkId::Compress, &ctx), a);
-        assert_eq!(heir.solo_baseline(BenchmarkId::Db, &ctx), b);
-        let s = heir.baseline_stats();
-        assert_eq!((s.lookups, s.misses), (2, 0));
-
-        // Export is canonical: re-exporting the heir gives the same bytes.
-        let mut w2 = jsmt_snapshot::Writer::new();
-        heir.export_baselines(&mut w2);
-        assert_eq!(w2.into_bytes(), bytes);
-
-        // A contradictory import is rejected.
-        let liar = Engine::serial();
-        let real = liar.solo_baseline(BenchmarkId::Compress, &ctx);
-        let mut w3 = jsmt_snapshot::Writer::new();
-        w3.put_usize(1);
-        w3.put_u8(BenchmarkId::Compress.tag());
-        w3.put_u64(ctx.scale.to_bits());
-        w3.put_u64(ctx.seed);
-        w3.put_u64(ctx.repeats);
-        w3.put_bool(false);
-        w3.put_u64(real + 1);
-        let bad = w3.into_bytes();
-        assert!(liar
-            .import_baselines(&mut jsmt_snapshot::Reader::new(&bad))
-            .is_err());
     }
 
     #[test]

@@ -7,7 +7,6 @@
 
 mod ablations;
 mod bundle;
-mod checkpoint;
 mod csv_out;
 mod engine;
 mod litmus;
@@ -26,7 +25,6 @@ pub use ablations::{
     PartitionPoint, PrefetchPoint,
 };
 pub use bundle::{CrashBundle, ReplayReport, KIND_BUNDLE};
-pub use checkpoint::{pair_matrix_ckpt, CkptError, GridCheckpoint, KIND_GRID};
 pub use csv_out::{
     csv_grid, csv_jit, csv_l1, csv_litmus, csv_mt, csv_partition, csv_prefetch, csv_single,
     csv_threads,

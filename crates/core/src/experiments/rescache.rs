@@ -10,10 +10,9 @@
 //! tests are the tripwire that reminds an author to do so.
 
 use jsmt_cache::{Cache, CacheKey};
-use jsmt_snapshot::{Reader, Writer};
+use jsmt_snapshot::{Reader, SnapshotError, Writer};
 use jsmt_workloads::BenchmarkId;
 
-use super::checkpoint::{read_outcome, write_outcome};
 use super::pairing::{run_pair, PairOutcome};
 use super::{solo_baseline_cycles, ExperimentCtx};
 
@@ -60,7 +59,14 @@ pub(crate) fn decode_solo(bytes: &[u8]) -> Option<u64> {
 
 pub(crate) fn encode_pair(o: &PairOutcome) -> Vec<u8> {
     let mut w = Writer::new();
-    write_outcome(&mut w, o);
+    w.put_u8(o.a.tag());
+    w.put_u8(o.b.tag());
+    w.put_f64(o.speedup_a);
+    w.put_f64(o.speedup_b);
+    w.put_f64(o.combined);
+    w.put_f64(o.tc_mpki);
+    w.put_u64(o.completions.0);
+    w.put_u64(o.completions.1);
     w.into_bytes()
 }
 
@@ -69,6 +75,22 @@ pub(crate) fn decode_pair(bytes: &[u8]) -> Option<PairOutcome> {
     let o = read_outcome(&mut r).ok()?;
     r.expect_end().ok()?;
     Some(o)
+}
+
+fn read_outcome(r: &mut Reader<'_>) -> Result<PairOutcome, SnapshotError> {
+    let a = BenchmarkId::from_tag(r.get_u8()?)
+        .ok_or(SnapshotError::Corrupt("unknown benchmark tag in pair cell"))?;
+    let b = BenchmarkId::from_tag(r.get_u8()?)
+        .ok_or(SnapshotError::Corrupt("unknown benchmark tag in pair cell"))?;
+    Ok(PairOutcome {
+        a,
+        b,
+        speedup_a: r.get_f64()?,
+        speedup_b: r.get_f64()?,
+        combined: r.get_f64()?,
+        tc_mpki: r.get_f64()?,
+        completions: (r.get_u64()?, r.get_u64()?),
+    })
 }
 
 /// [`solo_baseline_cycles`] through the persistent cache. An entry that

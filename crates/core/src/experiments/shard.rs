@@ -29,7 +29,7 @@
 //! ```
 //!
 //! Values are hex-encoded [`super::rescache`] cell encodings (solo: u64
-//! LE; pair: the checkpoint outcome layout), so the reply survives any
+//! LE; pair: the `encode_pair` outcome layout), so the reply survives any
 //! byte content. Pair requests embed the solo baselines, keeping workers
 //! stateless: a shard's result is a pure function of its request line
 //! plus the experiment context, no matter which worker (or respawn) runs

@@ -1,7 +1,7 @@
 //! Durable, injectable file persistence.
 //!
-//! Everything the harness writes that must survive a crash — grid
-//! checkpoints, crash-repro bundles — goes through [`persist`]: write to
+//! Everything the harness writes that must survive a crash — crash-repro
+//! bundles, result-cache entries — goes through [`persist`]: write to
 //! a sibling temp file, `fsync` it, atomically rename over the
 //! destination, then `fsync` the parent directory so the rename itself
 //! is durable. A kill at any point leaves either the old file or the new
@@ -20,7 +20,7 @@ use std::path::Path;
 
 /// Durably persist `bytes` at `path` (temp file, fsync, atomic rename,
 /// parent-directory fsync). `target` names the write for the fault
-/// plan (`checkpoint`, `bundle`, `cache`, …).
+/// plan (`bundle`, `cache`, …).
 ///
 /// The temp file name embeds the process id, so concurrent shard
 /// workers persisting the same path (e.g. a shared cache entry both
@@ -62,7 +62,7 @@ pub fn persist(path: &Path, bytes: &[u8], target: &str) -> io::Result<()> {
         let mut f = File::create(&tmp)?;
         f.write_all(payload)?;
         // The data must be on stable storage before the rename makes it
-        // the current checkpoint, else a crash could promote a torn file.
+        // the current file, else a crash could promote a torn file.
         f.sync_all()?;
     }
     fs::rename(&tmp, path)?;

@@ -22,8 +22,8 @@
 //! starve,cycle=2000,scope=pair-grid/jess+db,attempts=1
 //! worker-panic,scope=pair-grid/db+db
 //! worker-kill,scope=shard/compress+db,attempts=1
-//! io-error,target=checkpoint,nth=0
-//! corrupt,target=checkpoint,nth=1
+//! io-error,target=bundle,nth=0
+//! corrupt,target=cache,nth=1
 //! torn,target=cache,nth=0
 //! cache-corrupt,nth=2
 //! cache-torn-write
@@ -117,21 +117,21 @@ pub enum FaultKind {
     },
     /// Fail the `nth` durable write to `target` with an `io::Error`.
     IoError {
-        /// Write target name (`checkpoint`, `bundle`, `cache`).
+        /// Write target name (`bundle`, `cache`).
         target: String,
         /// Zero-based occurrence to fail.
         nth: u64,
     },
     /// Flip a byte in the `nth` durable write to `target`.
     Corrupt {
-        /// Write target name (`checkpoint`, `bundle`, `cache`).
+        /// Write target name (`bundle`, `cache`).
         target: String,
         /// Zero-based occurrence to corrupt.
         nth: u64,
     },
     /// Truncate the `nth` durable write to `target` mid-payload.
     Torn {
-        /// Write target name (`checkpoint`, `bundle`, `cache`).
+        /// Write target name (`bundle`, `cache`).
         target: String,
         /// Zero-based occurrence to tear.
         nth: u64,

@@ -2,10 +2,16 @@
 //! real `repro` binary: entries are corrupted and truncated on disk
 //! (and via injected write faults), and the cache must quarantine,
 //! recompute, and keep the rendered output byte-identical — never trust
-//! a bad entry, never die over one.
+//! a bad entry, never die over one. The cache is also the only way an
+//! interrupted grid resumes, which is checked through the library.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+use std::sync::Arc;
+
+use jsmt_cache::Cache;
+use jsmt_core::experiments::{self as exp, Engine, ExperimentCtx, Parallelism};
+use jsmt_workloads::BenchmarkId;
 
 fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -224,6 +230,67 @@ fn warm_cache_rerun_simulates_nothing_under_shard_dispatch() {
         String::from_utf8_lossy(&cold.stdout),
         String::from_utf8_lossy(&warm.stdout)
     );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A grid killed part-way leaves its solo baselines and finished cells
+/// in the cache; a fresh process pointed at the same directory
+/// simulates only the rest and renders bytes identical to an
+/// uninterrupted run. A different seed shares no entry.
+#[test]
+fn interrupted_grid_resumes_from_the_cache_to_identical_csv() {
+    const DONE: usize = 30;
+    let ctx = ExperimentCtx {
+        scale: 0.01,
+        repeats: 1,
+        seed: 0xA5,
+    };
+    let ids = BenchmarkId::SINGLE_THREADED;
+    let golden = exp::csv_grid(&exp::pair_matrix_on(
+        &Engine::new(Parallelism::Threads(2)),
+        &ctx,
+    ));
+    let dir = tmpdir("resume");
+    let cached_engine = |cache: &Arc<Cache>| {
+        let mut engine = Engine::new(Parallelism::Threads(2));
+        engine.set_result_cache(Arc::clone(cache));
+        engine
+    };
+
+    // Stand-in for the killed run: the baselines plus the first DONE
+    // cells in grid order, stored through one engine.
+    let killed = cached_engine(&Arc::new(Cache::open(&dir).expect("open cache")));
+    for index in 0..DONE {
+        killed.run_pair_cached(ids[index / ids.len()], ids[index % ids.len()], &ctx);
+    }
+    drop(killed);
+    assert_eq!(cell_files(&dir).len(), ids.len() + DONE);
+
+    // The rerun: fresh engine, reopened cache.
+    let cache = Arc::new(Cache::open(&dir).expect("reopen cache"));
+    let engine = cached_engine(&cache);
+    engine.prewarm_baselines(&ids, &ctx);
+    let solo = cache.stats();
+    assert_eq!((solo.lookups, solo.hits), (9, 9), "every solo: lookup hits");
+    let grid = exp::pair_matrix_on(&engine, &ctx);
+    assert_eq!(exp::csv_grid(&grid), golden, "resumed grid CSV differs");
+    let s = cache.stats();
+    assert_eq!(s.lookups, 90);
+    assert_eq!(s.hits - solo.hits, DONE as u64, "finished cells are reused");
+    assert_eq!(
+        s.misses,
+        (81 - DONE) as u64,
+        "only unfinished cells simulate"
+    );
+    assert_eq!((s.quarantined, s.store_errors), (0, 0));
+
+    // Another seed is another experiment: every cell misses.
+    let other = ExperimentCtx { seed: 0xA6, ..ctx };
+    let cache = Arc::new(Cache::open(&dir).expect("reopen cache"));
+    exp::pair_matrix_on(&cached_engine(&cache), &other);
+    let s = cache.stats();
+    assert_eq!((s.lookups, s.hits, s.misses), (90, 0, 90));
 
     let _ = std::fs::remove_dir_all(&dir);
 }

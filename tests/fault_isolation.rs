@@ -8,16 +8,16 @@
 //! * a transient fault plus a supervisor retry converges to the clean
 //!   (golden) output;
 //! * every failure leaves a crash-repro bundle that `CrashBundle::replay`
-//!   reproduces deterministically;
-//! * injected durable-write faults (I/O error, corruption) surface as
-//!   typed `JsmtError`s from the checkpoint path, never as panics.
+//!   reproduces deterministically.
+//!
+//! Durable-write faults on the persistent result cache are drilled in
+//! `tests/cache_heal.rs`.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use jsmt_core::experiments::{
     self as exp, Engine, ExperimentCtx, FailureKind, Parallelism, SupervisorCfg,
 };
-use jsmt_core::{ErrorKind, JsmtError};
 use jsmt_workloads::BenchmarkId;
 use proptest::prelude::*;
 
@@ -290,43 +290,6 @@ fn crash_bundle_replay_reproduces_the_recorded_failure() {
     assert_eq!(observed.component, "system");
     assert_eq!(observed.cycle, failure.cycle, "replay cycle diverged");
     assert!(report.reproduced);
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Injected durable-write faults surface as typed errors from the
-/// checkpointed grid driver: an I/O error fails the run with
-/// `ErrorKind::Io`, and a corrupted write is detected at resume as
-/// `ErrorKind::Snapshot` — never a panic, never silent acceptance.
-#[test]
-fn checkpoint_write_faults_surface_as_typed_errors() {
-    let _l = plan_lock();
-    let ctx = tiny();
-    let engine = Engine::serial();
-    let dir = std::env::temp_dir().join(format!("jsmt-ckpt-faults-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-
-    // First durable checkpoint write fails with an injected io::Error.
-    let p1 = dir.join("io.ck");
-    jsmt_faults::install_spec("io-error,target=checkpoint,nth=0").expect("valid spec");
-    let err = exp::pair_matrix_ckpt(&engine, &ctx, &p1, 1, Some(1))
-        .map(|_| ())
-        .expect_err("injected write error must propagate");
-    jsmt_faults::clear();
-    assert_eq!(JsmtError::from(err).kind(), ErrorKind::Io);
-
-    // The final flush is silently corrupted (write #0 is the baseline
-    // save, write #1 the one-cell flush); the resume must detect it.
-    let p2 = dir.join("corrupt.ck");
-    jsmt_faults::install_spec("corrupt,target=checkpoint,nth=1").expect("valid spec");
-    let partial = exp::pair_matrix_ckpt(&engine, &ctx, &p2, 1, Some(1))
-        .expect("corruption is invisible at write time");
-    assert!(partial.is_none(), "budgeted run must stop early");
-    jsmt_faults::clear();
-    let err = exp::pair_matrix_ckpt(&engine, &ctx, &p2, 1, Some(1))
-        .map(|_| ())
-        .expect_err("corrupt checkpoint must be rejected at load");
-    assert_eq!(JsmtError::from(err).kind(), ErrorKind::Snapshot);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
